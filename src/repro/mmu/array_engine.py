@@ -431,10 +431,11 @@ def _replay_ghost(ghost, kernel: StreamKernel, C: int) -> None:
     )
 
 
-def _paged_fold(mm, trace: np.ndarray) -> StreamKernel:
-    """Shared TLB+RAM fold for the physical-huge-page family; returns the
-    RAM kernel so subclass handlers can reuse its death sequence."""
-    h = mm.huge_page_size
+def _paged_fold(mm, trace: np.ndarray, h: int) -> tuple[StreamKernel, StreamKernel]:
+    """Shared TLB+RAM fold for the paged handlers (physical-huge, write-back,
+    nested): both caches are LRU over the ``h``-page unit stream. Returns
+    ``(kern_t, kern_r)`` so handlers can reuse the miss and death
+    sequences."""
     hpns = _unit_stream(trace, h)
     tp = _lru_prefix(mm.tlb)
     rp = _lru_prefix(mm.ram)
@@ -454,17 +455,13 @@ def _paged_fold(mm, trace: np.ndarray) -> StreamKernel:
         _replay_ghost(mm.tlb._ghost, kern_t, mm.tlb.capacity)
     if mm.ram._ghost is not None:
         _replay_ghost(mm.ram._ghost, kern_r, mm.ram.capacity)
-    return kern_r
+    return kern_t, kern_r
 
 
 def _run_hugepage(mm, trace: np.ndarray):
-    from .hugepage import PhysicalHugePageMM
-
-    if type(mm).access is not PhysicalHugePageMM.access:
-        return None
     if not (_plain_lru(mm.tlb) and _plain_lru(mm.ram)):
         return None
-    _paged_fold(mm, trace)
+    _paged_fold(mm, trace, mm.huge_page_size)
     return mm.ledger
 
 
@@ -494,25 +491,19 @@ def _run_writeback(mm, trace: np.ndarray):
     iff a store hit it during its current residency — since its previous
     eviction, which cleared its dirty bit whether or not it flushed.
     """
-    from .writeback import WritebackHugePageMM
-
-    if type(mm).access is not WritebackHugePageMM.access:
-        return None
     if not (_plain_lru(mm.tlb) and _plain_lru(mm.ram)):
         return None
     C = mm.ram.capacity
     h = mm.huge_page_size
-    rp = _lru_prefix(mm.ram)
-    kern = StreamKernel(_unit_stream(trace, h), rp)
-    n = len(trace)
+    _kern_t, kern = _paged_fold(mm, trace, h)
     wf = mm.write_fraction
     marks = np.zeros(kern.n, dtype=bool)
     if wf:
-        marks[kern.R :] = mm._rng.random(n) < wf
+        marks[kern.R :] = mm._rng.random(kern.n0) < wf
     # pages dirty at segment entry stay dirty until their next eviction:
     # mark their prefix pseudo-access as a store
     if mm._dirty:
-        for idx, key in enumerate(rp):
+        for idx, key in enumerate(kern.keys[: kern.R].tolist()):
             if key in mm._dirty:
                 marks[idx] = True
     deaths = kern.deaths(C)
@@ -532,19 +523,6 @@ def _run_writeback(mm, trace: np.ndarray):
         nwb = int(np.count_nonzero(dirty))
         ledger.extra["writebacks"] += nwb
         ledger.extra["writeback_ios"] += nwb * h
-    # counters + cache sync (reuses the RAM kernel when shapes allow)
-    tp = _lru_prefix(mm.tlb)
-    if mm.tlb.capacity == C and tp == rp:
-        kern_t = kern
-    else:
-        kern_t = StreamKernel(kern.keys[kern.R :], tp)
-    ledger.accesses += n
-    t_hits, t_misses = kern_t.counts(mm.tlb.capacity)
-    ledger.tlb_hits += t_hits
-    ledger.tlb_misses += t_misses
-    ledger.ios += h * kern.counts(C)[1]
-    _sync_cache(mm.tlb, kern_t, mm.tlb.capacity)
-    _sync_cache(mm.ram, kern, C)
     # final dirty set: residents with a store since their last eviction
     mm._dirty.clear()
     if sk is not None:
@@ -566,31 +544,17 @@ def _run_nested(mm, trace: np.ndarray):
     """Nested translation: guest TLB and RAM are LRU caches on the hpn
     stream; the 2-D walk becomes a derived LRU stream over page-table
     node keys ``(depth, prefix)``, encoded as ``prefix*(g+1) + depth``."""
-    from .virtualized import NestedTranslationMM
-
-    if type(mm).access is not NestedTranslationMM.access:
-        return None
     if not (
         _plain_lru(mm.tlb) and _plain_lru(mm.ram) and _plain_lru(mm.nested_tlb)
     ):
         return None
-    hpns = _unit_stream(trace, mm.h)
-    tp = _lru_prefix(mm.tlb)
-    rp = _lru_prefix(mm.ram)
-    kern_t = StreamKernel(hpns, tp)
-    same = mm.tlb.capacity == mm.ram.capacity and tp == rp
-    kern_r = kern_t if same else StreamKernel(hpns, rp)
+    kern_t, _kern_r = _paged_fold(mm, trace, mm.h)
     ledger = mm.ledger
-    ledger.accesses += len(trace)
-    t_hits, t_misses = kern_t.counts(mm.tlb.capacity)
-    ledger.tlb_hits += t_hits
-    ledger.tlb_misses += t_misses
-    ledger.ios += mm.h * kern_r.counts(mm.ram.capacity)[1]
     # one walk per guest-TLB miss, in stream order: guest levels 1..g
     # touch (d, vpn >> (top - d*bits)), then the data page is (0, vpn)
     g = mm.guest_levels
-    if t_misses:
-        miss_idx = kern_t.miss_positions(mm.tlb.capacity) - kern_t.R
+    miss_idx = kern_t.miss_positions(mm.tlb.capacity) - kern_t.R
+    if miss_idx.size:
         vm = trace[miss_idx]
         bits = mm.bits_per_level
         top = g * bits
@@ -621,8 +585,6 @@ def _run_nested(mm, trace: np.ndarray):
                 for e in kern_n.final_residents(nC).tolist()
             )
         )
-    _sync_cache(mm.tlb, kern_t, mm.tlb.capacity)
-    _sync_cache(mm.ram, kern_r, mm.ram.capacity)
     return ledger
 
 
@@ -734,10 +696,6 @@ def _sync_decoupled(system, kern_t, kern_r, done: int) -> None:
 
 
 def _run_decoupled(mm, trace: np.ndarray):
-    from .decoupled import DecoupledMM
-
-    if type(mm).access is not DecoupledMM.access:
-        return None
     done = _run_decoupled_system(mm.system, trace, mm.ledger)
     if done is None:
         return None
@@ -747,10 +705,6 @@ def _run_decoupled(mm, trace: np.ndarray):
 
 
 def _run_hybrid(mm, trace: np.ndarray):
-    from .hybrid import HybridMM
-
-    if type(mm).access is not HybridMM.access:
-        return None
     units = _unit_stream(trace, mm.chunk)
     done = _run_decoupled_system(mm.system, units, mm.ledger)
     if done is None:
@@ -780,17 +734,14 @@ def try_run(mm, trace):
     """Run *trace* through the batch engine.
 
     Returns the ledger on success, or ``None`` meaning "use the object
-    engine": unsupported algorithm, non-LRU policy, a probe needing
-    per-access events or interval flushes, or scheme state the batch
-    replay can't honor (pre-existing paging failures).
+    engine": unsupported algorithm, non-LRU policy, or scheme state the
+    batch replay can't honor (pre-existing paging failures). Probes are
+    the caller's business: ``MemoryManagementAlgorithm.run`` only offers
+    segments here when no per-access probe is attached, and flushes
+    batch-safe probes itself.
     """
     handler = _HANDLERS.get(type(mm).__name__)
     if handler is None:
-        return None
-    probe = mm.probe
-    if probe.enabled and (
-        not probe.batch_safe or probe.batch_interval is not None
-    ):
         return None
     if mm._provenance is not None and handler is not _run_hugepage:
         # eviction provenance is derived vectorized only for the
@@ -803,12 +754,4 @@ def try_run(mm, trace):
         arr = np.asarray([int(x) for x in trace], dtype=np.int64)
     if arr.size == 0:
         return mm.ledger
-    arr = arr.astype(np.int64, copy=False)
-    t0 = mm.ledger.accesses
-    before = mm.ledger.snapshot() if probe.enabled else None
-    ledger = handler(mm, arr)
-    if ledger is None:
-        return None
-    if probe.enabled:
-        probe.on_batch(t0, trace, ledger, before)
-    return ledger
+    return handler(mm, arr.astype(np.int64, copy=False))

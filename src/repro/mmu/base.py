@@ -8,12 +8,13 @@ physical-huge-page, decoupled (``Z``), hybrid — live in sibling modules and
 are interchangeable inside :mod:`repro.sim`.
 
 Every algorithm carries an optional :class:`~repro.obs.events.Probe`
-(``NULL_PROBE`` by default). With the null probe, :meth:`run` is the
-original tight loop — the hot path is unchanged. With a real probe
-attached, :meth:`run` switches to an instrumented loop that derives typed
-events (``access``, ``tlb_miss``, ``io``, ``eviction``, ``decoding_miss``)
-from per-access ledger deltas, so all algorithms are observable without
-touching their ``access`` implementations.
+(``NULL_PROBE`` by default). With the null probe, :meth:`run` hands the
+trace to :meth:`_replay` untouched — the hot path is unchanged. A
+batch-safe probe keeps that path and receives one ``on_batch`` flush per
+segment. Any other probe switches :meth:`run` to an instrumented loop that
+derives typed events (``access``, ``tlb_miss``, ``io``, ``eviction``,
+``decoding_miss``) from per-access ledger deltas, so all algorithms are
+observable without touching their ``access`` implementations.
 
 **ASID access contract.** Multi-tenant simulation (:mod:`repro.tenancy`)
 shares one algorithm instance between address spaces. The contract is
@@ -39,21 +40,6 @@ from ..core import CostLedger
 from ..obs.events import NULL_PROBE, Probe
 
 __all__ = ["MemoryManagementAlgorithm", "MMInspector", "as_int_list"]
-
-#: lazily imported array-engine module; ``False`` marks "numpy missing".
-_array_engine = None
-
-
-def _load_array_engine():
-    global _array_engine
-    if _array_engine is None:
-        try:
-            from . import array_engine as mod
-        except ImportError:  # pragma: no cover - numpy-less fallback
-            mod = False
-        _array_engine = mod
-    return _array_engine
-
 
 class MMInspector:
     """Read-through state-inspection surface for the invariant oracle.
@@ -148,26 +134,6 @@ class MMInspector:
         """Full structural self-check; raises AssertionError on breakage."""
 
 
-class _SegmentProbe(Probe):
-    """Per-segment stand-in used by ``_run_intervaled``: batch-safe, no
-    interval of its own (so the inner ``run`` takes the plain batched fast
-    path), forwarding each segment's ``on_batch`` flush to the real probe."""
-
-    __slots__ = ("target",)
-
-    enabled = True
-    batch_safe = True
-
-    def __init__(self, target: Probe) -> None:
-        self.target = target
-
-    def on_batch(self, t0: int, vpns, ledger, before) -> None:
-        self.target.on_batch(t0, vpns, ledger, before)
-
-    def on_phase(self, t: int, name: str) -> None:  # pragma: no cover - defensive
-        self.target.on_phase(t, name)
-
-
 class MemoryManagementAlgorithm(ABC):
     """Services virtual-page requests under the address-translation model."""
 
@@ -180,13 +146,19 @@ class MemoryManagementAlgorithm(ABC):
     #: (hugepage family) and a silent object-engine fallback.
     _provenance = None
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a new access() must not be bypassed by an inherited vectorized _replay
+        if "access" in cls.__dict__ and "_replay" not in cls.__dict__:
+            cls._replay = MemoryManagementAlgorithm._replay
+
     def __init__(self) -> None:
         self.ledger = CostLedger()
         #: simulation engine: ``"object"`` replays access by access,
         #: ``"array"`` tries the struct-of-arrays batch engine first
         #: (:mod:`repro.mmu.array_engine`) and falls back to the object
         #: replay when no batch handler applies (unsupported algorithm,
-        #: per-access probe, non-LRU policy, pending paging failures).
+        #: non-LRU policy, pending paging failures).
         self.engine: str = "object"
         #: observer of this algorithm's events; NULL_PROBE means unobserved.
         self.probe: Probe = NULL_PROBE
@@ -252,7 +224,7 @@ class MemoryManagementAlgorithm(ABC):
         untouched, so a single tenant bound at ASID 0 is bit-identical to
         a plain single-address-space replay. Other ASIDs shift the trace
         into their slice (one vectorized add for numpy traces), keeping
-        every subclass fast path engaged.
+        every vectorized :meth:`_replay` engaged.
         """
         base = self._asid_base(asid)
         if base == 0:
@@ -298,70 +270,54 @@ class MemoryManagementAlgorithm(ABC):
     def run(self, trace) -> CostLedger:
         """Service every request in *trace*; return this algorithm's ledger.
 
-        The trace is materialized as plain Python ints once up front
-        (:func:`as_int_list`), so ``access`` implementations may assume
-        exact ints and skip per-element ``int()`` boxing — the hot-loop
-        contract documented in ``docs/API.md``.
+        The one replay router: subclasses implement :meth:`access` and,
+        optionally, a vectorized :meth:`_replay`, never ``run``. A trace
+        without ``len()`` (a generator) is materialized once; a probe that
+        needs per-access events gets :meth:`_run_probed`. Otherwise the
+        trace is cut into ``probe.batch_interval``-access segments (one
+        segment without an interval), and each segment goes to the array
+        engine when ``engine == "array"`` and a batch handler accepts it,
+        else to :meth:`_replay`, followed by one ``on_batch`` flush when a
+        probe is attached. Segmentation only moves loop boundaries:
+        counters and cache state are bit-identical to one unsegmented
+        per-access replay.
         """
-        if self.engine == "array":
-            engine = _load_array_engine()
-            if engine is False:
-                raise RuntimeError(
-                    "engine='array' requires numpy; it is not installed"
-                )
-            out = engine.try_run(self, trace)
-            if out is not None:
-                return out
-            # no batch handler applies — fall through to the object replay
+        if not hasattr(trace, "__len__"):
+            trace = as_int_list(trace)
         probe = self.probe
-        if probe.enabled:
-            if not probe.batch_safe:
-                return self._run_probed(trace)
-            if probe.batch_interval is not None:
-                return self._run_intervaled(trace, probe)
-            return self._run_batched(trace)
+        if probe.enabled and not probe.batch_safe:
+            return self._run_probed(trace)
+        step = probe.batch_interval if probe.enabled else None
+        if step is None:
+            segments = (trace,)
+        else:
+            segments = (trace[i : i + step] for i in range(0, len(trace), step))
+        batch = None
+        if self.engine == "array":
+            # imported on first use: object-engine processes never load it
+            from .array_engine import try_run as batch
+        ledger = self.ledger
+        for segment in segments:
+            t0 = ledger.accesses
+            before = ledger.snapshot() if probe.enabled else None
+            if batch is None or batch(self, segment) is None:
+                self._replay(segment)
+            if probe.enabled:
+                probe.on_batch(t0, segment, ledger, before)
+        return ledger
+
+    def _replay(self, trace) -> None:
+        """Serve one segment on the object engine: the per-access loop.
+
+        The segment is materialized as plain Python ints once
+        (:func:`as_int_list`), so ``access`` implementations may assume
+        exact ints — the hot-loop contract documented in ``docs/API.md``.
+        Subclasses may override this with a vectorized replay that is
+        bit-identical to calling :meth:`access` per request.
+        """
         access = self.access
         for vpn in as_int_list(trace):
             access(vpn)
-        return self.ledger
-
-    def _run_batched(self, trace) -> CostLedger:
-        """The batch-observed replay: the original tight loop plus exactly
-        one ``on_batch`` flush at the end, carrying the replayed VPNs and
-        the ledger delta. Batch-safe probes (``probe.batch_safe``) accept
-        this granularity in exchange for per-access costs of zero — the
-        same contract that lets subclasses keep their vectorized fast
-        paths enabled."""
-        ledger = self.ledger
-        t0 = ledger.accesses
-        before = ledger.snapshot()
-        access = self.access
-        vpns = as_int_list(trace)
-        for vpn in vpns:
-            access(vpn)
-        self.probe.on_batch(t0, vpns, ledger, before)
-        return ledger
-
-    def _run_intervaled(self, trace, probe: Probe) -> CostLedger:
-        """Interval-flushed batch replay for live probes.
-
-        The trace is sliced into ``probe.batch_interval``-access segments
-        and each segment is replayed through ``self.run`` with the probe
-        temporarily swapped for a :class:`_SegmentProbe` forwarder (batch
-        safe, no interval), so subclasses' vectorized fast-path ``run``
-        overrides stay engaged per segment and the real probe receives one
-        ``on_batch`` flush per segment. Counters and cache state are
-        bit-identical to the unsegmented replay: segmentation only changes
-        where the Python-level loop boundaries fall.
-        """
-        interval = probe.batch_interval
-        self.probe = _SegmentProbe(probe)
-        try:
-            for start in range(0, len(trace), interval):
-                self.run(trace[start : start + interval])
-        finally:
-            self.probe = probe
-        return self.ledger
 
     def _run_probed(self, trace) -> CostLedger:
         """The observed replay: emit typed events from per-access ledger

@@ -174,27 +174,10 @@ class DecoupledMM(MemoryManagementAlgorithm):
     def access(self, vpn: int) -> None:
         self.system.access(vpn)
 
-    def run(self, trace):
-        """Unprobed fast path: hand the whole trace to the system's own
-        loop, skipping one delegation hop per access. Batch-safe probes
-        keep this path and get one ``on_batch`` flush afterwards."""
-        probe = self.probe
-        if (
-            self.engine != "object"
-            or (
-                probe.enabled
-                and (not probe.batch_safe or probe.batch_interval is not None)
-            )
-            or (type(self).access is not DecoupledMM.access)
-        ):
-            return super().run(trace)
-        if not probe.enabled:
-            return self.system.run(trace)
-        t0 = self.ledger.accesses
-        before = self.ledger.snapshot()
-        ledger = self.system.run(trace)
-        probe.on_batch(t0, trace, ledger, before)
-        return ledger
+    def _replay(self, trace) -> None:
+        """Hand the whole segment to the system's own loop, skipping one
+        delegation hop per access."""
+        self.system.run(trace)
 
     def translation_alignment(self) -> int:
         return self.system.hmax

@@ -112,33 +112,17 @@ class PhysicalHugePageMM(MemoryManagementAlgorithm):
             # page-fault amplification: the whole huge page moves
             ledger.ios += self.huge_page_size
 
-    def run(self, trace):
-        """Unprobed fast path: the whole-trace equivalent of :meth:`access`.
+    def _replay(self, trace) -> None:
+        """The whole-segment equivalent of :meth:`access`.
 
         Because the vpn→hpn mapping is static, the huge-page numbers for
-        the entire trace come from one vectorized shift, and because the
+        the entire segment come from one vectorized shift, and because the
         TLB and RAM caches evolve independently of each other (each sees
         only the hpn stream), the per-access interleaving can be replaced
         by two batched :meth:`~repro.paging.cache.PageCache.access_many`
         replays — final counters and cache states are bit-identical, which
         the golden-run and probed-vs-unprobed parity tests pin.
         """
-        # subclasses that extend the per-access semantics (write-back
-        # sampling) must keep the generic loop, as must any probe needing
-        # per-access events; batch-safe probes keep this path and get one
-        # on_batch flush at the end
-        probe = self.probe
-        if (
-            self.engine != "object"
-            or (
-                probe.enabled
-                and (not probe.batch_safe or probe.batch_interval is not None)
-            )
-            or (type(self).access is not PhysicalHugePageMM.access)
-        ):
-            return super().run(trace)
-        t0 = self.ledger.accesses
-        before = self.ledger.snapshot() if probe.enabled else None
         h = self.huge_page_size
         if h == 1:
             hpns = as_int_list(trace)
@@ -154,9 +138,6 @@ class PhysicalHugePageMM(MemoryManagementAlgorithm):
         ledger.tlb_hits += tlb_hits
         ledger.tlb_misses += tlb_misses
         ledger.ios += ram_misses * h
-        if probe.enabled:
-            probe.on_batch(t0, trace, ledger, before)
-        return ledger
 
     def translation_alignment(self) -> int:
         return self.huge_page_size

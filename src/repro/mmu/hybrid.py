@@ -100,22 +100,9 @@ class HybridMM(MemoryManagementAlgorithm):
     def access(self, vpn: int) -> None:
         self.system.access(vpn // self.chunk)
 
-    def run(self, trace):
-        """Unprobed fast path: the vpn→chunk mapping is static, so the
-        chunk ids for the whole trace come from one vectorized shift.
-        Batch-safe probes keep this path and get one ``on_batch`` flush."""
-        probe = self.probe
-        if (
-            self.engine != "object"
-            or (
-                probe.enabled
-                and (not probe.batch_safe or probe.batch_interval is not None)
-            )
-            or (type(self).access is not HybridMM.access)
-        ):
-            return super().run(trace)
-        t0 = self.ledger.accesses
-        before = self.ledger.snapshot() if probe.enabled else None
+    def _replay(self, trace) -> None:
+        """The vpn→chunk mapping is static, so the chunk ids for the whole
+        segment come from one vectorized shift."""
         chunk = self.chunk
         if chunk == 1:
             chunk_ids = as_int_list(trace)
@@ -127,9 +114,6 @@ class HybridMM(MemoryManagementAlgorithm):
         access = self.system.access
         for cid in chunk_ids:
             access(cid)
-        if probe.enabled:
-            probe.on_batch(t0, trace, self.ledger, before)
-        return self.ledger
 
     def translation_alignment(self) -> int:
         return self.coverage

@@ -141,19 +141,10 @@ class THPStyleMM(MemoryManagementAlgorithm):
     def access(self, vpn: int) -> None:
         self._access(vpn, vpn // self.h)
 
-    def run(self, trace):
-        """Unprobed fast path: the vpn→region mapping is static (promotion
-        changes which *unit* a region maps to, not the region number), so
-        the regions for the whole trace come from one vectorized shift.
-        Batch-safe probes keep this path and get one ``on_batch`` flush."""
-        probe = self.probe
-        if (
-            probe.enabled
-            and (not probe.batch_safe or probe.batch_interval is not None)
-        ) or (type(self).access is not THPStyleMM.access):
-            return super().run(trace)
-        t0 = self.ledger.accesses
-        before = self.ledger.snapshot() if probe.enabled else None
+    def _replay(self, trace) -> None:
+        """The vpn→region mapping is static (promotion changes which *unit*
+        a region maps to, not the region number), so the regions for the
+        whole segment come from one vectorized shift."""
         vpns = as_int_list(trace)
         h = self.h
         if h == 1:
@@ -166,9 +157,6 @@ class THPStyleMM(MemoryManagementAlgorithm):
         access = self._access
         for vpn, region in zip(vpns, regions):
             access(vpn, region)
-        if probe.enabled:
-            probe.on_batch(t0, vpns, self.ledger, before)
-        return self.ledger
 
     def _access(self, vpn: int, region: int) -> None:
         ledger = self.ledger

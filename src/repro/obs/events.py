@@ -93,9 +93,9 @@ class Probe:
 
     ``batch_safe`` declares the probe's granularity contract: a batch-safe
     probe only needs :meth:`on_batch` — one callback per ``run()`` with the
-    replayed VPNs and the ledger delta — and therefore keeps the batched /
-    vectorized fast paths in ``mmu/hugepage|decoupled|hybrid|thp`` (and the
-    base tight loop) enabled. Probes that need per-access event ordering
+    replayed VPNs and the ledger delta — and therefore keeps the
+    vectorized ``_replay`` overrides, the array engine and the base tight
+    loop enabled. Probes that need per-access event ordering
     (``TraceRecorder``, ``StreamTap``, ``IntervalMetrics``) leave it False
     and force the original per-access path.
 
@@ -103,8 +103,8 @@ class Probe:
     batch-safe probe that sets it to ``N`` asks ``run()`` to flush
     :meth:`on_batch` at least every ``N`` accesses instead of once per
     replay. The runner then slices the trace into ``N``-access segments and
-    replays each through the *same* vectorized fast path (see
-    ``MemoryManagementAlgorithm._run_intervaled``), so interval flushing
+    replays each through the *same* vectorized path (see
+    ``MemoryManagementAlgorithm.run``), so interval flushing
     costs one extra Python-level loop per segment, not per access —
     heartbeat telemetry (:mod:`repro.obs.live`) rides this. ``None`` (the
     default) keeps the one-flush-per-run behaviour.
@@ -142,7 +142,8 @@ class Probe:
     def on_batch(self, t0: int, vpns, ledger, before) -> None:
         """A batched replay serviced *vpns* starting at access index *t0*.
 
-        Fires once per ``run()`` on batch-safe probes, after the batch
+        Fires once per ``run()`` segment on batch-safe probes (once per
+        ``run()`` without a ``batch_interval``), after the segment
         completes. *ledger* is the live :class:`~repro.core.model.CostLedger`
         (post-batch) and *before* its :meth:`snapshot` tuple from just
         before the batch, so the batch's exact counter deltas are
@@ -265,9 +266,8 @@ class MultiProbe(Probe):
         self.batch_safe = bool(self.probes) and all(
             p.batch_safe for p in self.probes
         )
-        intervals = [
-            p.batch_interval for p in self.probes if p.batch_interval is not None
-        ]
+        # intervals are positive ints, so None is the only falsy value
+        intervals = [p.batch_interval for p in self.probes if p.batch_interval]
         self.batch_interval = min(intervals) if intervals else None
 
     def on_access(self, t: int, vpn: int) -> None:

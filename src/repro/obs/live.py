@@ -16,7 +16,7 @@ module makes it observable *while it runs*, with three cooperating pieces:
 :class:`HeartbeatProbe`
     A batch-safe probe with a ``batch_interval``: the MM runner flushes
     it at least every *interval* accesses **without** leaving the
-    vectorized fast paths (see ``MemoryManagementAlgorithm._run_intervaled``).
+    vectorized replays (see ``MemoryManagementAlgorithm.run``).
     Each flush appends one ``heartbeat`` record — progress, instantaneous
     accesses/s, and cumulative :class:`~repro.core.model.CostLedger`
     counters — to the bus.

@@ -9,8 +9,8 @@ stream can be characterized while it plays, and live telemetry
 (:mod:`repro.obs.live`) can report reuse structure mid-run.
 
 Both probes declare ``batch_safe = True`` and consume :meth:`on_batch`
-only, so the vectorized fast paths in ``mmu/hugepage|decoupled|hybrid|thp``
-stay enabled under them (the same contract as
+only, so ``MemoryManagementAlgorithm.run`` keeps every vectorized
+``_replay`` and the array engine enabled under them (the same contract as
 :class:`~repro.obs.sampling.SamplingProbe`, and gated by the same
 ``check_bench.py --probe-tolerance`` floor).
 
@@ -279,16 +279,6 @@ class OnlineStackDistance(Probe):
             tree[i] += delta
             i += i & (-i)
 
-    def _prefix(self, i: int) -> int:
-        """Sum of slots [0, i]."""
-        i += 1
-        tree = self._tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
     def _compact(self) -> None:
         """Renumber live markers in timestamp order into a fresh tree.
 
@@ -307,7 +297,7 @@ class OnlineStackDistance(Probe):
     # ------------------------------------------------------------- batch path
 
     def _observe(self, vpn: int) -> None:
-        # _add/_prefix inlined: this is the per-tracked-access hot loop, and
+        # Fenwick walks inlined: this is the per-tracked-access hot loop, and
         # the three Fenwick walks dominate it at python call granularity.
         tree = self._tree
         cap = self._cap

@@ -2,12 +2,13 @@
 
 Full event tracing (:class:`~repro.obs.events.TraceRecorder`) needs one
 callback per event and therefore forces the original per-access replay —
-the PR 4 vectorized fast paths in ``mmu/hugepage|decoupled|hybrid|thp``
-self-disable. :class:`SamplingProbe` is the batch-safe alternative: it
-declares ``batch_safe = True`` and consumes one :meth:`on_batch` callback
-per ``run()``, folding the *exact* ledger counter delta and a deterministic
-*sample* of the replayed VPNs, so the fast paths stay enabled and the
-measured overhead is a few percent instead of an order of magnitude.
+``MemoryManagementAlgorithm.run`` bypasses the vectorized ``_replay``
+overrides and the array engine. :class:`SamplingProbe` is the batch-safe
+alternative: it declares ``batch_safe = True`` and consumes one
+:meth:`on_batch` callback per ``run()``, folding the *exact* ledger
+counter delta and a deterministic *sample* of the replayed VPNs, so the
+fast paths stay enabled and the measured overhead is a few percent
+instead of an order of magnitude.
 
 Two deterministic sampling schemes run side by side (both seeded, both
 identical between the scalar and the vectorized code path):

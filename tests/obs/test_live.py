@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.mmu.base import MemoryManagementAlgorithm
+from repro.mmu.registry import ENGINES, MM_NAMES
 from repro.obs import (
     HeartbeatConfig,
     HeartbeatProbe,
@@ -257,28 +258,44 @@ class TestRenderTop:
 
 
 class TestHeartbeatProbe:
-    def _run(self, tmp_path, interval=500, warmup=0):
+    def _run(self, tmp_path, interval=500, warmup=0, name="thp", engine="object"):
         trace = build_trace("zipf")
         spool = tmp_path / "hb.jsonl"
-        mm = build_mm("thp")
+        mm = build_mm(name)
+        mm.engine = engine
         with TelemetryBus(spool, worker="w0") as bus:
             mm.probe = HeartbeatProbe(
                 bus, interval=interval, task="cell", total=len(trace)
             )
-            plain = build_mm("thp")
+            plain = build_mm(name)
             expected = plain.run(trace)
             ledger = mm.run(trace)
         assert ledger.snapshot() == expected.snapshot()  # never perturbs
         return trace, mm.probe, read_spool(spool)
 
-    def test_heartbeats_cover_the_full_replay(self, tmp_path):
-        trace, probe, records = self._run(tmp_path, interval=500)
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", MM_NAMES)
+    def test_heartbeats_cover_the_full_replay(self, tmp_path, name, engine):
+        trace, probe, records = self._run(
+            tmp_path, interval=500, name=name, engine=engine
+        )
         beats = [r for r in records if r["kind"] == "heartbeat"]
         # one flush per interval segment: ceil(n / interval)
         assert len(beats) == -(-len(trace) // 500)
         assert probe.done == len(trace)
         assert beats[-1]["done"] == len(trace)
         assert [b["done"] for b in beats] == sorted(b["done"] for b in beats)
+        # without an interval, a batch-safe probe gets one flush per run()
+        mm = build_mm(name)
+        mm.engine = engine
+        spool = tmp_path / "once.jsonl"
+        with TelemetryBus(spool, worker="w1") as bus:
+            mm.probe = HeartbeatProbe(bus, task="once")
+            mm.probe.batch_interval = None
+            mm.run(trace[:700])
+            mm.run(trace[700:])
+        beats = [r for r in read_spool(spool) if r["kind"] == "heartbeat"]
+        assert [b["done"] for b in beats] == [700, len(trace)]
 
     def test_counters_track_the_ledger_deltas(self, tmp_path):
         trace, probe, records = self._run(tmp_path, interval=700)
@@ -295,7 +312,7 @@ class TestHeartbeatProbe:
             raise AssertionError("heartbeat forced the per-access replay")
 
         monkeypatch.setattr(MemoryManagementAlgorithm, "_run_probed", boom)
-        monkeypatch.setattr(MemoryManagementAlgorithm, "_run_batched", boom)
+        monkeypatch.setattr(MemoryManagementAlgorithm, "_replay", boom)
         self._run(tmp_path, interval=300)
 
     def test_on_phase_records(self, tmp_path):

@@ -227,7 +227,7 @@ class TestFastPathStaysEnabled:
             raise AssertionError("probe forced the per-access replay")
 
         monkeypatch.setattr(MemoryManagementAlgorithm, "_run_probed", boom)
-        monkeypatch.setattr(MemoryManagementAlgorithm, "_run_batched", boom)
+        monkeypatch.setattr(MemoryManagementAlgorithm, "_replay", boom)
 
     @pytest.mark.parametrize("name", FAST_MMS)
     def test_counters_identical_and_fast_path_kept(

@@ -131,21 +131,23 @@ class TestProbeModes:
 
 
 class TestFastPathStaysEnabled:
-    """The acceptance gate: a batch-safe probe must not force the
-    per-access replay (which is ``MemoryManagementAlgorithm.run``)."""
+    """The acceptance gate: a batch-safe probe must not force a
+    per-access replay (``MemoryManagementAlgorithm._run_probed`` or the
+    base ``_replay`` loop)."""
 
     def _poisoned_mm(self, monkeypatch):
         def boom(self, trace):
             raise AssertionError("fell back to the per-access base replay")
 
-        monkeypatch.setattr(MemoryManagementAlgorithm, "run", boom)
+        monkeypatch.setattr(MemoryManagementAlgorithm, "_run_probed", boom)
+        monkeypatch.setattr(MemoryManagementAlgorithm, "_replay", boom)
         return PhysicalHugePageMM(64, 1024, huge_page_size=16)
 
     def test_batch_safe_probe_rides_the_fast_path(self, monkeypatch):
         mm = self._poisoned_mm(monkeypatch)
         mm.probe = SamplingProbe(1 / 8, seed=0)
         trace = np.random.default_rng(0).integers(0, 4096, 2000)
-        ledger = mm.run(trace)  # must NOT reach the poisoned base run
+        ledger = mm.run(trace)  # must NOT reach a poisoned per-access loop
         assert ledger.accesses == 2000
         assert mm.probe.counters["accesses"] == 2000
         assert mm.probe.counters["ios"] == ledger.ios
