@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .._util import as_int_list
 from .allocation import RAMAllocationScheme
 from .encoding import TLBValueCodec
 
@@ -35,6 +36,10 @@ __all__ = ["DecouplingScheme", "NOT_PRESENT"]
 
 #: Sentinel returned by the decoding function for pages not in RAM.
 NOT_PRESENT = -1
+
+#: inserts per allocator bulk pass in :meth:`DecouplingScheme.apply_events`;
+#: bounds the Python lists one pass builds (speed only: results are exact).
+_BULK_CHUNK = 8192
 
 
 class DecouplingScheme:
@@ -102,16 +107,17 @@ class DecouplingScheme:
         self.allocator.free(vpn)
         self._clear_psi_field(vpn)
 
-    def apply_events(
-        self, inserts: list[int], evicts: list[int], first_evt: int = 0
-    ) -> int | None:
+    def apply_events(self, inserts, evicts, first_evt: int = 0) -> int | None:
         """Bulk-apply an interleaved ``ram_evict``/``ram_insert`` stream.
 
         Equivalent to the per-event calls under the batch interleave
         convention (eviction ``k - first_evt`` immediately before insert
         ``k``), with ψ maintenance folded into **one** pass over each
         touched page's final state — a page placed and evicted five times
-        in the stream gets one field update, not ten.
+        in the stream gets one field update, not ten. *inserts* and
+        *evicts* are int lists or int arrays; the allocator replays them in
+        bulk passes of ``_BULK_CHUNK`` inserts, which compose exactly like
+        the per-event calls they stand for.
 
         ``on_value_update`` callbacks are suppressed for the whole batch:
         callers owning a TLB must refresh resident values themselves (the
@@ -128,17 +134,28 @@ class DecouplingScheme:
         bulk = getattr(self.allocator, "bulk_replay", None)
         if bulk is None:
             return None
-        out = bulk(inserts, evicts, first_evt)
-        if out is None:
-            return None
-        codes, failed = out
         # last applied event per page wins: a location code (placed),
         # -1 (evicted), or -2 (failed insert)
         last: dict[int, int] = {}
-        for k, code in enumerate(codes):
-            if k >= first_evt:
-                last[evicts[k - first_evt]] = -1
-            last[inserts[k]] = -2 if code is None else code
+        failed = -1
+        for k0 in range(0, max(len(inserts), 1), _BULK_CHUNK):
+            k1 = k0 + _BULK_CHUNK
+            ins = as_int_list(inserts[k0:k1])
+            evs = as_int_list(evicts[max(0, k0 - first_evt) : max(0, k1 - first_evt)])
+            f0 = max(0, first_evt - k0)
+            out = bulk(ins, evs, f0)
+            if out is None:
+                # no batch hook: a static property, so this can only
+                # happen on the first pass, before anything was applied
+                return None
+            codes, failed = out
+            for k, code in enumerate(codes):
+                if k >= f0:
+                    last[evs[k - f0]] = -1
+                last[ins[k]] = -2 if code is None else code
+            if failed >= 0:
+                failed += k0
+                break
         active = self._active
         callback = self.on_value_update
         self.on_value_update = None

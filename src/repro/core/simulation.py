@@ -22,6 +22,8 @@ directly against independently-run ``X`` and ``Y``.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .._util import as_int_list, check_positive_int
 from ..paging import PageCache, ReplacementPolicy
 from ..tlb import TLB
@@ -29,6 +31,12 @@ from .decoupling import DecouplingScheme
 from .model import CostLedger
 
 __all__ = ["DecoupledSystem"]
+
+
+def _push_psi(tlb: TLB, hpn: int, value: int) -> None:
+    """ψ changed for huge page *hpn*: rewrite its TLB value if resident."""
+    if hpn in tlb:
+        tlb.update(hpn, value)
 
 
 class DecoupledSystem:
@@ -78,10 +86,12 @@ class DecoupledSystem:
         #: hybrid allocates physically-contiguous runs of io_unit base pages,
         #: so each fault costs io_unit IOs.
         self.io_unit = io_unit
-        # ψ updates for TLB-resident huge pages are pushed into the TLB's
-        # stored values (free in the cost model).
-        scheme.on_value_update = self._psi_changed
         self.tlb = TLB(tlb_entries, value_bits=scheme.codec.w, policy=tlb_policy)
+        # ψ updates for TLB-resident huge pages are pushed into the TLB's
+        # stored values (free in the cost model). The hook holds the TLB,
+        # not the system, so no reference cycle keeps a finished system's
+        # state alive until the next cyclic garbage collection.
+        scheme.on_value_update = partial(_push_psi, self.tlb)
         # Y drives RAM; every eviction immediately releases the frame in D.
         self.ram = PageCache(ram_capacity, ram_policy, on_evict=scheme.ram_evict)
         self.ledger = CostLedger()
@@ -140,12 +150,6 @@ class DecoupledSystem:
         if hasattr(allocator, "bucket_loads"):
             return allocator.bucket_loads()
         return None
-
-    # ------------------------------------------------------------ internals
-
-    def _psi_changed(self, hpn: int, value: int) -> None:
-        if hpn in self.tlb:
-            self.tlb.update(hpn, value)
 
     # ------------------------------------------------------------ validation
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .base import MemoryManagementAlgorithm
+from .base import ENGINES, MemoryManagementAlgorithm
 from .classical import BasePageMM
 from .decoupled import DecoupledMM
 from .hugepage import PhysicalHugePageMM
@@ -86,19 +86,16 @@ MM_BUILDERS: dict[str, Callable[..., MemoryManagementAlgorithm]] = {
 MM_NAMES: tuple[str, ...] = tuple(sorted(MM_BUILDERS))
 
 
-#: engine names accepted by :func:`make_mm` / :func:`mm_factory`.
-ENGINES: tuple[str, ...] = ("object", "array")
-
-
 def make_mm(
-    name: str, tlb_entries: int, ram_pages: int, *, seed=None, engine: str = "object"
+    name: str, tlb_entries: int, ram_pages: int, *, seed=None, engine: str = ENGINES[0]
 ) -> MemoryManagementAlgorithm:
     """Build the registered algorithm *name* with registry defaults.
 
-    ``engine="array"`` selects the struct-of-arrays batch engine
-    (:mod:`repro.mmu.array_engine`); algorithms or probes it cannot batch
-    fall back to the object replay per ``run`` call, with identical
-    counters and cache state either way.
+    *engine* is one of :data:`ENGINES`, the array engine by default
+    (:mod:`repro.mmu.array_engine`): it batches long segments and leaves
+    short segments, unbatchable algorithms and per-access probes to the
+    object replay, with identical counters and cache state either way.
+    ``engine="object"`` pins the per-access reference replay.
     """
     try:
         builder = MM_BUILDERS[name]
@@ -116,7 +113,7 @@ def make_mm(
 
 
 def mm_factory(
-    name: str, tlb_entries: int, ram_pages: int, *, seed=None, engine: str = "object"
+    name: str, tlb_entries: int, ram_pages: int, *, seed=None, engine: str = ENGINES[0]
 ):
     """Picklable zero-arg factory for *name* (for :class:`~repro.sim.SimTask`)."""
     if name not in MM_BUILDERS:

@@ -1,6 +1,10 @@
 """Tests for the Simulation Theorem construction Z (Theorem 4) and the
 Lemma 1 separation utilities."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,6 +79,34 @@ class TestServicing:
         ledger = z.run([1, 2, 3, 1])
         assert ledger is z.ledger
         assert ledger.accesses == 4
+
+    def test_finished_system_is_freed_without_the_cycle_collector(self):
+        """Z's ψ hook closes over its TLB, not Z itself: a finished system
+        holds no reference cycle, so its state (tens of MB on benchmark
+        configurations) is freed at once rather than at the next cyclic
+        collection, which a batched replay may not trigger for a while."""
+        z = make_system()
+        z.run(list(range(200)) * 3)
+        ref = weakref.ref(z.scheme)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del z
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_system_pickles_with_its_psi_hook(self):
+        """A prebuilt algorithm reaches pool workers pickled: the ψ hook
+        must survive the trip and keep pushing values into the copy's TLB."""
+        z = make_system()
+        z.run(list(range(100)))
+        clone = pickle.loads(pickle.dumps(z))
+        for system in (z, clone):
+            system.run(list(range(50, 400)))
+            system.check_invariants()
+        assert clone.ledger.as_dict() == z.ledger.as_dict()
 
     def test_tlb_decode_matches_ram(self):
         """After servicing, the TLB entry actually decodes the page to its

@@ -17,6 +17,7 @@ boundary. These tests pin that promise:
 * engine selection through the registry, ``simulate``, and ``SimTask``.
 """
 
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.mmu.registry import ENGINES, MM_NAMES, make_mm, mm_factory
 from repro.obs import SamplingProbe, TraceRecorder
 from repro.sim import simulate
 from repro.sim.parallel import SimTask, run_records
+from repro.workloads import ZipfWorkload
 
 #: algorithms with a batch handler (everything but THP).
 ARRAY_MMS = tuple(n for n in MM_NAMES if n != "thp")
@@ -140,20 +142,49 @@ class TestStreamKernel:
             assert kern.residents_at(cap, cut).tolist() == residents
 
 
+class TestKernelMemory:
+    """The kernel's transient working set stays O(n): the dominance grid's
+    checkpoint matrices, the sliding-window ladder and the direct-scan
+    batches are all bounded, so one long ``hit_mask`` call does not spike
+    the process peak (the checkpoint matrices alone once grew as
+    O((n/128)^2), and one scan batch could take 11 MB)."""
+
+    #: traced bytes per stream position: the bounded kernel peaks at 60-85
+    #: on these streams, the unbounded one at 115-210.
+    BYTES_PER_KEY = 100
+
+    @pytest.mark.parametrize("skew", [0.9, 1.2])
+    def test_hit_mask_peak_is_linear_in_the_stream(self, skew):
+        keys = ZipfWorkload(1 << 16, s=skew).generate(100_000, seed=0)
+        prefix = np.unique(keys[:5_000])[:256]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            StreamKernel(keys, prefix).hit_mask(256)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < self.BYTES_PER_KEY * (keys.size + prefix.size), peak
+
+
 # ------------------------------------------------------- engine parity
 
 
 @pytest.mark.parametrize("name", ARRAY_MMS)
 class TestDeepStateParity:
     def test_cold_run(self, name):
-        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
+        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="object")
         arr = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
         obj.run(TRACE)
         assert try_run(arr, TRACE) is not None, "array engine declined"
         assert _state_sig(obj) == _state_sig(arr)
 
     def test_segmented_and_warm_reset(self, name):
-        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
+        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="object")
         arr = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="array")
         cuts = (0, 3_337, 3_338, 9_101, 12_000)
         for a, b in zip(cuts[:-1], cuts[1:]):
@@ -174,7 +205,9 @@ class TestWritebackDirtyCarry:
     def test_dirty_state_crosses_segment_boundaries(self):
         # a page dirtied in segment 1 but evicted in segment 2 must still
         # flush — the per-segment store sampling alone cannot see it
-        obj = make_mm("physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0)
+        obj = make_mm(
+            "physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0, engine="object"
+        )
         arr = make_mm(
             "physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0, engine="array"
         )
@@ -194,7 +227,7 @@ class TestPagingFailureBailout:
 
     def _run_pair(self, name, tlb, ram, universe, seed):
         trace = key_stream(4_000, universe, universe // 8, 50, seed=0)
-        obj = make_mm(name, tlb, ram, seed=seed)
+        obj = make_mm(name, tlb, ram, seed=seed, engine="object")
         arr = make_mm(name, tlb, ram, seed=seed, engine="array")
         obj.run(trace)
         arr.run(trace)
@@ -215,7 +248,7 @@ class TestPagingFailureBailout:
         # every later run() falls back to the object replay — the two
         # engines must stay in lockstep across that transition too
         trace = key_stream(4_000, 1024, 128, 50, seed=0)
-        obj = make_mm("decoupled", 32, 64, seed=2)
+        obj = make_mm("decoupled", 32, 64, seed=2, engine="object")
         arr = make_mm("decoupled", 32, 64, seed=2, engine="array")
         for a, b in ((0, 2_000), (2_000, 4_000)):
             obj.run(trace[a:b])
@@ -235,21 +268,24 @@ class TestEngineSelection:
             mm_factory("base-page", 64, 1024, engine="simd")
 
     def test_registry_sets_engine(self):
-        assert make_mm("base-page", 64, 1024).engine == "object"
+        assert ENGINES == ("array", "object")  # the default first
+        assert make_mm("base-page", 64, 1024).engine == "array"
+        assert mm_factory("base-page", 64, 1024)().engine == "array"
+        assert make_mm("base-page", 64, 1024, engine="object").engine == "object"
+        assert mm_factory("base-page", 64, 1024, engine="object")().engine == "object"
         assert make_mm("base-page", 64, 1024, engine="array").engine == "array"
         assert mm_factory("base-page", 64, 1024, engine="array")().engine == "array"
-        assert set(ENGINES) == {"object", "array"}
 
     def test_thp_falls_back_to_object(self):
-        obj = make_mm("thp", TLB_ENTRIES, RAM_PAGES)
+        obj = make_mm("thp", TLB_ENTRIES, RAM_PAGES, engine="object")
         arr = make_mm("thp", TLB_ENTRIES, RAM_PAGES, engine="array")
         obj.run(TRACE[:4_000])
         arr.run(TRACE[:4_000])
         assert obj.ledger.as_dict() == arr.ledger.as_dict()
 
     def test_simulate_engine_override(self):
-        obj = make_mm("base-page", TLB_ENTRIES, RAM_PAGES)
-        arr = make_mm("base-page", TLB_ENTRIES, RAM_PAGES)
+        obj = make_mm("base-page", TLB_ENTRIES, RAM_PAGES, engine="object")
+        arr = make_mm("base-page", TLB_ENTRIES, RAM_PAGES, engine="object")
         lo = simulate(obj, TRACE, warmup=2_000)
         la = simulate(arr, TRACE, warmup=2_000, engine="array")
         assert arr.engine == "array"
