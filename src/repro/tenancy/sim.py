@@ -177,8 +177,9 @@ class MultiTenantSim:
     engine:
         Simulation engine override (``"object"`` / ``"array"``; ``None``
         keeps ``mm.engine``). Engines are bit-identical, so either may
-        serve a multi-tenant run; engines without ASID-aware batch kernels
-        silently fall back per ``run``'s own contract.
+        serve a multi-tenant run; the array engine batches a quantum only
+        when it clears the batch floor and leaves shorter ones to the
+        object replay, per ``run``'s own contract.
     attrib:
         An :class:`~repro.obs.AttributionProbe` to observe the shared
         machine (``None`` = no attribution). The sim binds the probe to

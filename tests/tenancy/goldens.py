@@ -6,9 +6,9 @@ event stream (global striped vpns included) of a round-robin
 :class:`~repro.check.StreamTap` and committed under ``tests/data/golden``.
 ``tests/check/test_engine_parity.py`` replays each cell on both engines:
 the object engine must reproduce the stream row for row; the array engine
-(which may decline ASID-striped segments and silently fall back) must
-still land on exactly the golden ledger totals — pinning that the
-fallback is silent *and* correct.
+must land on exactly the golden ledger totals, both when its batch floor
+hands the short quanta to the object replay and when the floor is lifted
+so every quantum is batched.
 
 Regenerate (only when multi-tenant behaviour is *supposed* to change)
 with::

@@ -178,9 +178,10 @@ class TestPhiRemap:
         ).run()
         assert any(e.reason == "phi-change" for e in result.shootdowns)
 
-    def test_remap_engine_parity(self):
+    def test_remap_engine_parity(self, batch_every_segment):
         # phi-change shootdowns between quanta must leave both engines
         # bit-identical — the array engine resumes from the flushed TLB
+        # (the floor is lifted so its 37-access quanta are batched)
         for algorithm in ("decoupled", "hybrid"):
             ledgers = {}
             for engine in ("object", "array"):
@@ -194,6 +195,8 @@ class TestPhiRemap:
                     [r.ledger.snapshot() for r in result.records],
                     len(result.shootdowns),
                 )
+            assert batch_every_segment and all(batch_every_segment)
+            batch_every_segment.clear()
             assert ledgers["object"] == ledgers["array"]
 
     def test_remap_every_validation(self):
