@@ -20,12 +20,15 @@ Strategies are *stable* (no relocation) and *online* by construction.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
+from itertools import repeat
 
 import numpy as np
 
 from .._util import check_positive_int
 from ..hashing import HashFamily
+from .batch import commit_live
 
 __all__ = [
     "PlacementStrategy",
@@ -46,20 +49,20 @@ class PlacementStrategy(ABC):
     #: Optional bulk-replay hook consumed by
     #: :func:`repro.ballsbins.batch.replay_game_events`. Concrete strategies
     #: implement it as a method with the signature
-    #: ``batch_place(balls, uniq, ins_u, ev_u, first_evt, loads, bin_of)``
-    #: where *balls* is an int64 array of the distinct balls touched by the
-    #: stream, *uniq* the same values as a Python list, *ins_u*/*ev_u* the
-    #: per-event indices into *balls*, *first_evt* the insert index at which
-    #: evictions start interleaving, and *loads*/*bin_of* mutable Python
-    #: lists of current bin loads and per-distinct-ball bins (-1 = not
-    #: live). It must replay the stream with ``place``'s exact semantics —
-    #: stopping right after the first failing insert — mutating *loads*,
-    #: *bin_of*, and any strategy-internal state, and return
-    #: ``(bins, choices, peak, failed)``: the chosen bin per applied insert
-    #: (-1 for the failure), the first-match candidate index per applied
-    #: insert (``choice_index`` semantics), the highest load any insert
-    #: produced, and the failing insert's index (-1 if none). ``None`` means
-    #: the strategy has no batch path and callers must replay per-event.
+    #: ``batch_place(cands, fold, ins_u, ev_u, loads, free)``: *cands* holds
+    #: one list of candidate bins per choice, indexed by distinct ball;
+    #: *fold* is the :class:`~repro.ballsbins.batch.BatchDecisions` being
+    #: filled (per-ball ``bin_of``, and ``slot_of`` when *free* is given);
+    #: ``ins_u[k]`` is the ball of insert ``k`` and ``ev_u[k]`` the ball
+    #: evicted right before it (-1: none); *loads* is a mutable list of bin
+    #: loads; *free* the per-bin LIFO free-slot stacks of a bucketed
+    #: allocator, or None. It must replay the stream with ``place``'s exact
+    #: semantics in one pass, stopping right after the first failing
+    #: insert: update the per-ball lists, *loads*, *free* and any
+    #: strategy-internal state, append each applied insert's bin (-1 for the
+    #: failure) to ``fold.bins`` and its slot to ``fold.slots``, and return
+    #: the highest load any insert produced. ``None`` means the strategy has
+    #: no batch path and callers must replay per-event.
     batch_place = None
 
     def __init__(self) -> None:
@@ -90,14 +93,13 @@ class PlacementStrategy(ABC):
         """
         return self.family[i](ball)
 
-    def batch_candidates(self, balls: np.ndarray) -> list[list[int]]:
-        """Candidate bins for a vector of *balls*: one list per choice.
+    def batch_candidates(self, balls: np.ndarray) -> np.ndarray:
+        """Candidate bins for a vector of *balls*: one int64 row per choice.
 
         One vectorized hash pass per choice (scalar/vector parity is part of
-        the :class:`~repro.hashing.MultiplyShiftHash` contract), returned as
-        plain lists because the batch replay loop indexes them per event.
+        the :class:`~repro.hashing.MultiplyShiftHash` contract).
         """
-        return [h.many(balls).tolist() for h in self.family.functions]
+        return np.array([h.many(balls) for h in self.family.functions], dtype=np.int64)
 
     @abstractmethod
     def place(self, ball, loads: np.ndarray) -> int | None:
@@ -118,47 +120,42 @@ class PlacementStrategy(ABC):
         raise ValueError(f"bin {bin_index} is not a candidate for ball {ball!r}")
 
 
-def _greedy_batch_place(cands, capacity, ins_u, ev_u, first_evt, loads, bin_of):
-    """Shared Greedy[d] replay loop (plain and always-go-left variants).
+def _greedy_batch_place(self, cands, fold, ins_u, ev_u, loads, free):
+    """The ``batch_place`` of one-choice, Greedy[d] and always-go-left.
 
-    ``place`` semantics exactly: full bins are skipped, strict ``<`` keeps
-    the first (leftmost) candidate on load ties — which also makes the
-    recorded choice index the first candidate mapping to the chosen bin.
+    ``place`` semantics exactly: full bins are skipped and strict ``<``
+    keeps the first (leftmost) candidate on load ties.
     """
-    bins: list[int] = []
-    choices: list[int] = []
+    capacity = sys.maxsize if self._capacity is None else self._capacity
+    bin_of, slot_of, bins, slots = fold.bin_of, fold.slot_of, fold.bins, fold.slots
     peak = 0
-    failed = -1
-    j = 0
-    for k, u in enumerate(ins_u):
-        if k >= first_evt:
-            eu = ev_u[j]
-            j += 1
-            loads[bin_of[eu]] -= 1
+    for u, eu in zip(ins_u, ev_u):
+        if eu >= 0:
+            eb = bin_of[eu]
+            loads[eb] -= 1
             bin_of[eu] = -1
+            if free is not None:
+                free[eb].append(slot_of[eu])
         best = -1
-        best_load = 0
-        ci = 0
-        for i, c in enumerate(cands):
+        best_load = capacity
+        for c in cands:
             b = c[u]
-            load = loads[b]
-            if capacity is not None and load >= capacity:
-                continue
-            if best < 0 or load < best_load:
-                best, best_load, ci = b, load, i
-        if best < 0:
-            bins.append(-1)
-            choices.append(-1)
-            failed = k
-            break
-        new = loads[best] + 1
-        loads[best] = new
-        if new > peak:
-            peak = new
-        bin_of[u] = best
+            if loads[b] < best_load:
+                best = b
+                best_load = loads[b]
         bins.append(best)
-        choices.append(ci)
-    return bins, choices, peak, failed
+        if best < 0:
+            break
+        best_load += 1
+        loads[best] = best_load
+        if best_load > peak:
+            peak = best_load
+        bin_of[u] = best
+        if free is not None:
+            slot = free[best].pop()
+            slot_of[u] = slot
+            slots.append(slot)
+    return peak
 
 
 class OneChoiceStrategy(PlacementStrategy):
@@ -173,31 +170,7 @@ class OneChoiceStrategy(PlacementStrategy):
             return None
         return b
 
-    def batch_place(self, balls, uniq, ins_u, ev_u, first_evt, loads, bin_of):
-        (c0,) = self.batch_candidates(balls)
-        capacity = self._capacity
-        bins: list[int] = []
-        peak = 0
-        failed = -1
-        j = 0
-        for k, u in enumerate(ins_u):
-            if k >= first_evt:
-                eu = ev_u[j]
-                j += 1
-                loads[bin_of[eu]] -= 1
-                bin_of[eu] = -1
-            b = c0[u]
-            if capacity is not None and loads[b] >= capacity:
-                bins.append(-1)
-                failed = k
-                break
-            new = loads[b] + 1
-            loads[b] = new
-            if new > peak:
-                peak = new
-            bin_of[u] = b
-            bins.append(b)
-        return bins, [0] * len(bins), peak, failed
+    batch_place = _greedy_batch_place
 
 
 class GreedyStrategy(PlacementStrategy):
@@ -222,16 +195,7 @@ class GreedyStrategy(PlacementStrategy):
                 best, best_load = b, load
         return best
 
-    def batch_place(self, balls, uniq, ins_u, ev_u, first_evt, loads, bin_of):
-        return _greedy_batch_place(
-            self.batch_candidates(balls),
-            self._capacity,
-            ins_u,
-            ev_u,
-            first_evt,
-            loads,
-            bin_of,
-        )
+    batch_place = _greedy_batch_place
 
 
 class GreedyLeftStrategy(PlacementStrategy):
@@ -281,25 +245,16 @@ class GreedyLeftStrategy(PlacementStrategy):
         hi = (i + 1) * group if i < self.d - 1 else self.family.range
         return lo + self.family[i](ball) % (hi - lo)
 
-    def batch_candidates(self, balls: np.ndarray) -> list[list[int]]:
+    def batch_candidates(self, balls: np.ndarray) -> np.ndarray:
         group = self._group
         out = []
         for i, h in enumerate(self.family.functions):
             lo = i * group
             hi = (i + 1) * group if i < self.d - 1 else self.family.range
-            out.append((lo + h.many(balls) % (hi - lo)).tolist())
-        return out
+            out.append(lo + h.many(balls) % (hi - lo))
+        return np.array(out, dtype=np.int64)
 
-    def batch_place(self, balls, uniq, ins_u, ev_u, first_evt, loads, bin_of):
-        return _greedy_batch_place(
-            self.batch_candidates(balls),
-            self._capacity,
-            ins_u,
-            ev_u,
-            first_evt,
-            loads,
-            bin_of,
-        )
+    batch_place = _greedy_batch_place
 
     def choice_index(self, ball, bin_index: int) -> int:
         for i, b in enumerate(self.candidates(ball)):
@@ -364,26 +319,18 @@ class IcebergStrategy(PlacementStrategy):
         self._layer[ball] = False
         return best
 
-    def batch_place(self, balls, uniq, ins_u, ev_u, first_evt, loads, bin_of):
-        cands = self.batch_candidates(balls)
+    def batch_place(self, cands, fold, ins_u, ev_u, loads, free):
         front_c = cands[0]
         back_c = cands[1:]
-        capacity = self._capacity
+        capacity = sys.maxsize if self._capacity is None else self._capacity
         front_capacity = self.front_capacity
         front = self._front.tolist()
         back = self._back.tolist()
-        layer_map = self._layer
-        lget = layer_map.get
-        layer = [lget(b, False) for b in uniq]
-        bins: list[int] = []
-        choices: list[int] = []
+        layer = list(map(self._layer.get, fold.balls.tolist(), repeat(False)))
+        bin_of, slot_of, bins, slots = fold.bin_of, fold.slot_of, fold.bins, fold.slots
         peak = 0
-        failed = -1
-        j = 0
-        for k, u in enumerate(ins_u):
-            if k >= first_evt:
-                eu = ev_u[j]
-                j += 1
+        for u, eu in zip(ins_u, ev_u):
+            if eu >= 0:
                 eb = bin_of[eu]
                 loads[eb] -= 1
                 bin_of[eu] = -1
@@ -391,63 +338,40 @@ class IcebergStrategy(PlacementStrategy):
                     front[eb] -= 1
                 else:
                     back[eb] -= 1
-            fb = front_c[u]
-            if front[fb] < front_capacity and (
-                capacity is None or loads[fb] < capacity
-            ):
-                front[fb] += 1
-                new = loads[fb] + 1
-                loads[fb] = new
-                if new > peak:
-                    peak = new
+                if free is not None:
+                    free[eb].append(slot_of[eu])
+            best = front_c[u]
+            if front[best] < front_capacity and loads[best] < capacity:
+                front[best] += 1
                 layer[u] = True
-                bin_of[u] = fb
-                bins.append(fb)
-                choices.append(0)
-                continue
-            best = -1
-            best_load = 0
-            ci = 0
-            for i, c in enumerate(back_c):
-                b = c[u]
-                if capacity is not None and loads[b] >= capacity:
-                    continue
-                bl = back[b]
-                if best < 0 or bl < best_load:
-                    best, best_load, ci = b, bl, i + 1
-            if best < 0:
-                bins.append(-1)
-                choices.append(-1)
-                failed = k
-                break
-            back[best] += 1
+            else:
+                # spill layer: Greedy[d] over back loads
+                best = -1
+                best_load = 0
+                for c in back_c:
+                    b = c[u]
+                    if loads[b] < capacity and (best < 0 or back[b] < best_load):
+                        best = b
+                        best_load = back[b]
+                if best < 0:
+                    bins.append(-1)
+                    break
+                back[best] += 1
+                layer[u] = False
             new = loads[best] + 1
             loads[best] = new
             if new > peak:
                 peak = new
-            layer[u] = False
             bin_of[u] = best
-            # the encoder stores the FIRST candidate index mapping to the
-            # chosen bin, so a spill landing on its own front bin (hash
-            # collision h₀ = hᵢ) must encode as choice 0
-            if front_c[u] == best:
-                ci = 0
             bins.append(best)
-            choices.append(ci)
+            if free is not None:
+                slot = free[best].pop()
+                slot_of[u] = slot
+                slots.append(slot)
         self._front[:] = front
         self._back[:] = back
-        # layer-map commit: the last applied event per ball wins
-        final: dict[int, int] = {}
-        for k in range(len(bins)):
-            if k >= first_evt:
-                final[ev_u[k - first_evt]] = -1
-            final[ins_u[k]] = bins[k]
-        for u, b in final.items():
-            if b < 0:
-                layer_map.pop(uniq[u], None)
-            else:
-                layer_map[uniq[u]] = layer[u]
-        return bins, choices, peak, failed
+        commit_live(self._layer, fold, np.asarray(layer, dtype=bool))
+        return peak
 
     def unplace(self, ball, bin_index: int) -> None:
         is_front = self._layer.pop(ball)

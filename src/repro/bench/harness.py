@@ -13,6 +13,7 @@ the specs survive the trip into a ``ProcessPoolExecutor`` worker.
 
 from __future__ import annotations
 
+import logging
 from functools import partial
 from typing import Sequence
 
@@ -26,8 +27,9 @@ from ..mmu import (
     MemoryManagementAlgorithm,
     PhysicalHugePageMM,
 )
+from ..mmu.array_engine import StreamKernel, _exact_int64
 from ..obs import Probe
-from ..paging import LRUPolicy
+from ..paging import LRUPolicy, PageCache
 from ..sim import (
     DEFAULT_HUGE_PAGE_SIZES,
     RunRecord,
@@ -36,6 +38,8 @@ from ..sim import (
     sweep_huge_page_sizes,
 )
 from ..workloads import BimodalWorkload, Graph500Workload, RandomWalkWorkload, Workload
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "figure1_experiment",
@@ -316,16 +320,22 @@ def simulation_theorem_experiment(
 
 
 def _warmed_faults(trace: np.ndarray, warmup: int, capacity: int) -> int:
-    """LRU faults on ``trace[warmup:]`` with state warmed on ``trace[:warmup]``."""
-    from ..paging import PageCache
+    """LRU faults on ``trace[warmup:]`` with state warmed on ``trace[:warmup]``.
 
-    cache = PageCache(capacity, LRUPolicy())
-    for p in trace[:warmup]:
-        cache.access(int(p))
-    cache.reset_stats()
-    for p in trace[warmup:]:
-        cache.access(int(p))
-    return cache.misses
+    One stack-distance kernel pass; a trace int64 cannot hold exactly
+    replays through a per-access LRU cache instead.
+    """
+    keys = _exact_int64(trace)
+    if keys is None:
+        cache = PageCache(capacity, LRUPolicy())
+        for p in trace[:warmup]:
+            cache.access(int(p))
+        cache.reset_stats()
+        for p in trace[warmup:]:
+            cache.access(int(p))
+        return cache.misses
+    hits = StreamKernel(keys).hit_mask(capacity)[warmup:]
+    return hits.size - int(np.count_nonzero(hits))
 
 
 def _hybrid_coverage(mm: HybridMM) -> dict:
@@ -354,17 +364,25 @@ def hybrid_sweep(
     """
     trace = workload.generate(n_accesses, seed=seed)
     warmup = int(len(trace) * warmup_fraction)
-    tasks = [
-        SimTask(
-            key=i,
-            mm_factory=make_hybrid_mm(tlb_entries, ram_pages, chunk, w=w, seed=seed),
-            params={"chunk": chunk},
-            warmup=warmup,
-            stamp=_hybrid_coverage,
+    tasks = []
+    for i, chunk in enumerate(chunks):
+        if ram_pages % chunk:
+            _log.warning(
+                "hybrid_sweep: skipping chunk=%d (it does not divide "
+                "ram_pages=%d) — the sweep returns fewer records than "
+                "len(chunks)",
+                chunk, ram_pages,
+            )
+            continue
+        tasks.append(
+            SimTask(
+                key=i,
+                mm_factory=make_hybrid_mm(tlb_entries, ram_pages, chunk, w=w, seed=seed),
+                params={"chunk": chunk},
+                warmup=warmup,
+                stamp=_hybrid_coverage,
+            )
         )
-        for i, chunk in enumerate(chunks)
-        if ram_pages % chunk == 0
-    ]
     return run_records(
         tasks, trace=trace, jobs=jobs, task_timeout=task_timeout
     )

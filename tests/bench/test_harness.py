@@ -1,5 +1,7 @@
 """Tests for the benchmark harness and reporting (small-scale runs)."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,16 @@ from repro.bench import (
     hybrid_sweep,
     simulation_theorem_experiment,
 )
+from repro.bench import harness
+from repro.bench.harness import _warmed_faults
 from repro.mmu import BasePageMM
-from repro.workloads import BimodalWorkload, Graph500Workload, RandomWalkWorkload
+from repro.paging import LRUPolicy, PageCache
+from repro.workloads import (
+    BimodalWorkload,
+    Graph500Workload,
+    RandomWalkWorkload,
+    ZipfWorkload,
+)
 
 
 class TestFigure1Workload:
@@ -133,7 +143,79 @@ class TestSimulationTheoremExperiment:
             assert z_rec.ledger.ios == out["y_ios"]
 
 
+def _ref_warmed_faults(trace, warmup, capacity):
+    """The per-access reference: an LRU PageCache warmed, then counted."""
+    cache = PageCache(capacity, LRUPolicy())
+    for p in trace[:warmup]:
+        cache.access(int(p))
+    cache.reset_stats()
+    for p in trace[warmup:]:
+        cache.access(int(p))
+    return cache.misses
+
+
+class TestWarmedFaults:
+    """The eq. 3 reference replays run on the stack-distance kernel and
+    must count exactly what a per-access LRU cache counts."""
+
+    TRACE = ZipfWorkload(3000, s=0.8).generate(6000, seed=3)
+
+    @pytest.mark.parametrize("capacity", [1, 7, 64, 500, 3000])
+    @pytest.mark.parametrize("warmup", [0, 1, 1800, 5999, 6000])
+    def test_matches_page_cache(self, capacity, warmup):
+        got = _warmed_faults(self.TRACE, warmup, capacity)
+        assert got == _ref_warmed_faults(self.TRACE, warmup, capacity)
+
+    def test_capacity_covering_every_key(self):
+        trace = self.TRACE
+        distinct = len(np.unique(trace))
+        for capacity in (distinct, distinct + 1, 10 * distinct):
+            assert _warmed_faults(trace, 0, capacity) == distinct
+            got = _warmed_faults(trace, 2000, capacity)
+            assert got == _ref_warmed_faults(trace, 2000, capacity)
+
+    def test_huge_page_stream(self):
+        from repro.core import huge_page_trace
+
+        hp = huge_page_trace(self.TRACE, 8)
+        assert _warmed_faults(hp, 1800, 16) == _ref_warmed_faults(hp, 1800, 16)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            np.array([2**63 + 5, 1, 2**63 + 5, 2, 1, 2**64 - 1], dtype=np.uint64),
+            np.array([1.0, 2.5, 2.0, 1.0, 3.0]),
+        ],
+    )
+    def test_inexact_trace_declines_to_the_loop(self, trace, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel used on a trace int64 cannot hold")
+
+        monkeypatch.setattr(harness, "StreamKernel", no_kernel)
+        for warmup in (0, 2, len(trace)):
+            got = _warmed_faults(trace, warmup, 2)
+            assert got == _ref_warmed_faults(trace, warmup, 2)
+
+
 class TestHybridSweep:
+    def test_skipped_chunk_warns(self, caplog):
+        wl = BimodalWorkload.paper_scaled(1 << 12)
+        with caplog.at_level(logging.WARNING, logger="repro.bench.harness"):
+            records = hybrid_sweep(
+                wl, ram_pages=1000, tlb_entries=16, n_accesses=3000
+            )
+        assert [r.params["chunk"] for r in records] == [1, 2, 4, 8]
+        assert any("skipping chunk=16" in m for m in caplog.messages)
+
+    def test_no_warning_when_every_chunk_divides(self, caplog):
+        wl = BimodalWorkload.paper_scaled(1 << 12)
+        with caplog.at_level(logging.WARNING, logger="repro.bench.harness"):
+            records = hybrid_sweep(
+                wl, ram_pages=1 << 10, tlb_entries=16, n_accesses=3000, chunks=[1, 4]
+            )
+        assert len(records) == 2
+        assert not caplog.messages
+
     def test_coverage_grows_with_chunk(self):
         wl = BimodalWorkload.paper_scaled(1 << 12)
         records = hybrid_sweep(

@@ -192,6 +192,16 @@ class TestAllocatorProperties:
             assert a.decode(v, a.encode(v)) == f
 
 
+def _event_codes(alloc, decisions):
+    """The location code per applied insert of a bulk replay (None for a
+    failing one): what per-event ``encode`` returns right after each."""
+    codes = [
+        c * alloc.bucket_size + s
+        for c, s in zip(decisions.choices, decisions.slots)
+    ]
+    return codes + [None] * (decisions.failed >= 0)
+
+
 class TestBulkReplay:
     """`bulk_replay` must equal the per-event allocate/free sequence —
     frames, codes, LIFO slot order, and the stop-after-failure contract."""
@@ -246,9 +256,12 @@ class TestBulkReplay:
                     break
                 ref_codes.append(ref.encode(vpn))
 
-            codes, failed = bat.bulk_replay(inserts, evicts, first_evt)
-            assert codes == ref_codes
-            assert failed == ref_failed
+            decisions, ball_codes = bat.bulk_replay(inserts, evicts, first_evt)
+            assert _event_codes(bat, decisions) == ref_codes
+            assert decisions.failed == ref_failed
+            for ball, code in zip(decisions.balls.tolist(), ball_codes.tolist()):
+                if ball in ref._frame_of:
+                    assert code == ref.encode(ball)
             assert bat._frame_of == ref._frame_of
             assert bat._free_slots == ref._free_slots  # exact LIFO order
             assert warm  # the warm phase genuinely placed pages
@@ -383,9 +396,11 @@ class TestHashCollisionStability:
         ref.allocate(self.FILLER)
         ref.allocate(self.BALL)
         bat = self._make_iceberg()
-        codes, failed = bat.bulk_replay([self.FILLER, self.BALL], [], 2)
-        assert failed == -1
-        assert codes == [ref.encode(self.FILLER), ref.encode(self.BALL)]
+        decisions, ball_codes = bat.bulk_replay([self.FILLER, self.BALL], [], 2)
+        assert decisions.failed == -1
+        codes = [ref.encode(self.FILLER), ref.encode(self.BALL)]
+        assert _event_codes(bat, decisions) == codes
+        assert ball_codes.tolist() == codes  # FILLER (33) < BALL (77)
         assert bat._frame_of == ref._frame_of
         assert dict(bat.strategy._layer) == dict(ref.strategy._layer)
 
