@@ -8,7 +8,7 @@ curves of eqs. (5)–(6) and Theorem 2.
 """
 
 from .adversary import batch_turnover, cyclic_reinsertion, fifo_churn, fill, random_churn
-from .batch import BatchDecisions, replay_game_events
+from .batch import BatchDecisions, commit_live, replay_game_events
 from .analysis import (
     GameResult,
     greedy_max_load_bound,
@@ -28,6 +28,7 @@ from .strategies import (
 __all__ = [
     "BallsAndBinsGame",
     "BatchDecisions",
+    "commit_live",
     "replay_game_events",
     "PlacementStrategy",
     "OneChoiceStrategy",
