@@ -75,24 +75,30 @@ class BallsAndBinsGame:
         Raises ValueError if *ball* is already live (the adversary may
         re-insert only after deleting).
         """
+        placed = self.place(ball)
+        return None if placed is None else placed[0]
+
+    def place(self, ball) -> tuple[int, int] | None:
+        """:meth:`insert` returning ``(bin, choice)`` as the strategy's ``place`` does."""
         if ball in self._bin_of:
             raise ValueError(f"ball {ball!r} is already live")
         self.insertions += 1
-        b = self.strategy.place(ball, self.loads)
-        if b is None:
+        placed = self.strategy.place(ball, self.loads)
+        if placed is None:
             self.failures += 1
             return None
-        old = int(self.loads[b])
+        b = placed[0]
+        old = self.loads.item(b)
         self.loads[b] = old + 1
         self._bump(old, old + 1)
         self._bin_of[ball] = b
-        return b
+        return placed
 
     def delete(self, ball) -> int:
         """Delete live *ball*; return the bin it occupied."""
         b = self._bin_of.pop(ball)  # raises KeyError if not live
         self.deletions += 1
-        old = int(self.loads[b])
+        old = self.loads.item(b)
         self.loads[b] = old - 1
         self._bump(old, old - 1)
         self.strategy.unplace(ball, b)

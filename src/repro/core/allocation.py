@@ -65,13 +65,19 @@ class RAMAllocationScheme(ABC):
     #: bits of a *present* page's location code: ``⌈log₂(associativity)⌉``.
     address_bits: int
 
-    @abstractmethod
     def allocate(self, vpn: int) -> int | None:
         """Assign a frame to non-resident *vpn*; None on paging failure.
 
         A failed page is *not* resident afterwards (it joins the failure
         set ``F`` of its caller); retrying after an eviction is allowed.
         """
+        placed = self.place(vpn)
+        return None if placed is None else placed[0]
+
+    @abstractmethod
+    def place(self, vpn: int) -> tuple[int, int] | None:
+        """:meth:`allocate` returning ``(frame, code)``: the location code
+        is :meth:`encode` ``(vpn)``, produced by the placement itself."""
 
     @abstractmethod
     def free(self, vpn: int) -> int:
@@ -114,14 +120,14 @@ class FullyAssociativeAllocator(RAMAllocationScheme):
         self._free = list(range(self.total_frames - 1, -1, -1))  # pop() gives frame 0 first
         self._frame_of: dict[int, int] = {}
 
-    def allocate(self, vpn: int) -> int | None:
+    def place(self, vpn: int) -> tuple[int, int] | None:
         if vpn in self._frame_of:
             raise ValueError(f"vpn {vpn} is already resident")
         if not self._free:
             return None  # RAM genuinely full (caller exceeded (1-δ)P)
         frame = self._free.pop()
         self._frame_of[vpn] = frame
-        return frame
+        return frame, frame
 
     def free(self, vpn: int) -> int:
         frame = self._frame_of.pop(vpn)
@@ -193,16 +199,17 @@ class BucketedAllocator(RAMAllocationScheme):
 
     # ------------------------------------------------------------------ api
 
-    def allocate(self, vpn: int) -> int | None:
+    def place(self, vpn: int) -> tuple[int, int] | None:
         if vpn in self._frame_of:
             raise ValueError(f"vpn {vpn} is already resident")
-        bucket = self.game.insert(vpn)
-        if bucket is None:
+        placed = self.game.place(vpn)
+        if placed is None:
             return None  # paging failure: all k candidate buckets full
+        bucket, choice = placed
         offset = self._free_slots[bucket].pop()
         frame = bucket * self.bucket_size + offset
         self._frame_of[vpn] = frame
-        return frame
+        return frame, choice * self.bucket_size + offset
 
     def free(self, vpn: int) -> int:
         frame = self._frame_of.pop(vpn)
@@ -226,8 +233,7 @@ class BucketedAllocator(RAMAllocationScheme):
         choice, offset = divmod(code, self.bucket_size)
         # only the stored choice's hash — this runs on every TLB-hit
         # translation, and the other k-1 candidates are never needed
-        bucket = self.strategy.candidate(vpn, choice)
-        return bucket * self.bucket_size + offset
+        return self.strategy.candidate_fns[choice](vpn) * self.bucket_size + offset
 
     def bulk_replay(self, inserts, evicts, first_evt: int = 0):
         """Apply an interleaved ``allocate``/``free`` event stream in bulk.

@@ -22,8 +22,6 @@ directly against independently-run ``X`` and ``Y``.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .._util import as_int_list, check_positive_int
 from ..paging import PageCache, ReplacementPolicy
 from ..tlb import TLB
@@ -31,12 +29,6 @@ from .decoupling import DecouplingScheme
 from .model import CostLedger
 
 __all__ = ["DecoupledSystem"]
-
-
-def _push_psi(tlb: TLB, hpn: int, value: int) -> None:
-    """ψ changed for huge page *hpn*: rewrite its TLB value if resident."""
-    if hpn in tlb:
-        tlb.update(hpn, value)
 
 
 class DecoupledSystem:
@@ -88,13 +80,22 @@ class DecoupledSystem:
         self.io_unit = io_unit
         self.tlb = TLB(tlb_entries, value_bits=scheme.codec.w, policy=tlb_policy)
         # ψ updates for TLB-resident huge pages are pushed into the TLB's
-        # stored values (free in the cost model). The hook holds the TLB,
-        # not the system, so no reference cycle keeps a finished system's
-        # state alive until the next cyclic garbage collection.
-        scheme.on_value_update = partial(_push_psi, self.tlb)
+        # stored values (free in the cost model). The scheme fires the hook
+        # only for huge pages in T, which mirrors the TLB, so a disagreement
+        # raises KeyError. The hook holds the TLB, not the system, so no
+        # reference cycle keeps a finished system's state alive until the
+        # next cyclic garbage collection.
+        scheme.on_value_update = self.tlb.update
         # Y drives RAM; every eviction immediately releases the frame in D.
         self.ram = PageCache(ram_capacity, ram_policy, on_evict=scheme.ram_evict)
         self.ledger = CostLedger()
+        # the per-access bookkeeping, bound once: none of these objects is
+        # ever replaced (state syncs mutate the dicts and sets in place)
+        self._lookup, self._fill = self.tlb.lookup, self.tlb.fill
+        self._ram_access = self.ram.access
+        self._psi_get, self._failed = scheme._psi.get, scheme._failed
+        self._tlb_insert, self._tlb_evict = scheme.tlb_insert, scheme.tlb_evict
+        self._ram_insert = scheme.ram_insert
 
     # ------------------------------------------------------------------ api
 
@@ -102,32 +103,30 @@ class DecoupledSystem:
         """Service one virtual-page request through ``Z``."""
         ledger = self.ledger
         ledger.accesses += 1
-        scheme = self.scheme
 
         # --- TLB step: ensure a huge page covering vpn is in T_Z.
         hpn = vpn // self.hmax
-        value = self.tlb.lookup(hpn)
-        if value is None:
+        if self._lookup(hpn) is None:
             ledger.tlb_misses += 1
-            victim = self.tlb.fill(hpn, scheme.psi(hpn))
+            victim = self._fill(hpn, self._psi_get(hpn, 0))
             if victim is not None:
-                scheme.tlb_evict(victim)
-            scheme.tlb_insert(hpn)
+                self._tlb_evict(victim)
+            self._tlb_insert(hpn)
         else:
             ledger.tlb_hits += 1
 
         # --- RAM step: ensure vpn is in Y's active set.
-        if self.ram.access(vpn):
+        if self._ram_access(vpn):
             # Y considers the page resident. If D failed to place it, every
             # request is serviced with a temporary IO + a decoding miss.
-            if scheme.is_failed(vpn):
+            if vpn in self._failed:
                 ledger.ios += self.io_unit
                 ledger.decoding_misses += 1
                 ledger.paging_failures += 1
             return
         # Fault in Y: Y has already evicted (callback released the frame)
         # and recorded vpn as resident; now place it in D.
-        frame = scheme.ram_insert(vpn)
+        frame = self._ram_insert(vpn)
         ledger.ios += self.io_unit
         if frame is None:
             # Paging failure on arrival: the temporary IO is the one we just
@@ -160,10 +159,10 @@ class DecoupledSystem:
         equal the scheme's current ψ; Y's resident set must equal ``A``; and
         the scheme's own invariants (eq. 4, injectivity) must hold.
         """
-        assert set(self.tlb.resident()) == set(self.scheme.tlb_set)
+        assert set(self.tlb.resident()) == self.scheme.tlb_set
         for hpn in self.tlb.resident():
             assert self.tlb.peek(hpn) == self.scheme.psi(hpn), (
                 f"stale TLB value for huge page {hpn}"
             )
-        assert set(self.ram.resident()) == set(self.scheme.active_set)
+        assert set(self.ram.resident()) == self.scheme.active_set
         self.scheme.check_invariants()

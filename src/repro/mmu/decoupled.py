@@ -48,6 +48,12 @@ class DecoupledSystemInspector(MMInspector):
         self.ram_page_capacity = system.ram.capacity * unit
         self.io_quantum = system.io_unit
         self.max_io_per_access = system.io_unit
+        # the per-access queries read these live objects, bound once
+        scheme = system.scheme
+        self._coverage = system.hmax * unit
+        self._tlb = system.tlb
+        self._frame_of, self._f, self._psi = scheme.allocator.frame_of, scheme.f, scheme._psi.get
+        self._failed, self._hmax = scheme._failed, scheme.hmax
 
     def tlb_entries(self) -> int:
         return len(self.system.tlb)
@@ -56,22 +62,21 @@ class DecoupledSystemInspector(MMInspector):
         return len(self.system.ram) * self.unit
 
     def tlb_covers(self, vpn: int) -> bool:
-        return (vpn // self.unit) // self.system.hmax in self.system.tlb
+        return vpn // self._coverage in self._tlb
 
     def models_placement(self) -> bool:
         return True
 
     def frame_of(self, vpn: int) -> int | None:
-        return self.system.scheme.frame_of(vpn // self.unit)
+        return self._frame_of(vpn // self.unit)
 
     def decode(self, vpn: int) -> int | None:
-        scheme = self.system.scheme
         page = vpn // self.unit
-        frame = scheme.f(page, scheme.psi(page // scheme.hmax))
+        frame = self._f(page, self._psi(page // self._hmax, 0))
         return None if frame < 0 else frame
 
     def is_failed(self, vpn: int) -> bool:
-        return self.system.scheme.is_failed(vpn // self.unit)
+        return vpn // self.unit in self._failed
 
     def bucket_occupancy(self) -> tuple[int, int] | None:
         allocator = self.system.scheme.allocator

@@ -280,26 +280,21 @@ class TestBulkReplay:
 class TestDecodeSingleHash:
     """The decode bugfix: only the stored choice's hash is evaluated."""
 
-    def test_decode_calls_candidate_not_candidates(self):
+    def test_decode_evaluates_only_the_stored_choice(self, monkeypatch):
+        from repro.hashing import MultiplyShiftHash
+
         alloc = IcebergAllocator(64, 8, lam=4.0, seed=1)
-        calls = {"candidate": 0, "candidates": 0}
-        orig_candidate = alloc.strategy.candidate
-        orig_candidates = alloc.strategy.candidates
-        alloc.strategy.candidate = lambda b, i: (
-            calls.__setitem__("candidate", calls["candidate"] + 1)
-            or orig_candidate(b, i)
+        placed = [vpn for vpn in range(56) if alloc.allocate(vpn) is not None]
+        codes = {vpn: alloc.encode(vpn) for vpn in placed}
+        assert any(code >= alloc.bucket_size for code in codes.values())  # not all choice 0
+        calls = []
+        orig = MultiplyShiftHash.__call__
+        monkeypatch.setattr(
+            MultiplyShiftHash, "__call__", lambda h, x: calls.append(x) or orig(h, x)
         )
-        alloc.strategy.candidates = lambda b: (
-            calls.__setitem__("candidates", calls["candidates"] + 1)
-            or orig_candidates(b)
-        )
-        for vpn in range(20):
-            if alloc.allocate(vpn) is None:
-                continue
-            code = alloc.encode(vpn)
-            assert alloc.decode(vpn, code) == alloc.frame_of(vpn)
-        assert calls["candidate"] > 0
-        assert calls["candidates"] == 0  # encode uses choice_index, not this
+        for vpn in placed:
+            assert alloc.decode(vpn, codes[vpn]) == alloc.frame_of(vpn)
+        assert calls == placed  # one hash per decode, never all k
 
     def test_greedy_left_group_arithmetic_survives(self):
         from repro.ballsbins import GreedyLeftStrategy
@@ -367,6 +362,7 @@ class TestHashCollisionStability:
             ]
         )
         alloc.strategy._family = fam
+        alloc.strategy.candidate_fns = fam.functions  # what bind() sets
         return alloc
 
     def test_encode_decode_lands_the_frame_under_collision(self):
@@ -411,6 +407,7 @@ class TestHashCollisionStability:
              _FixedHash({self.BALL: 4}, 8, salt=2)]
         )
         alloc.strategy._family = fam
+        alloc.strategy.candidate_fns = fam.functions  # what bind() sets
         frame = alloc.allocate(self.BALL)
         assert frame is not None and frame // alloc.bucket_size == 4
         code = alloc.encode(self.BALL)

@@ -19,11 +19,14 @@ boundary. These tests pin that promise:
 
 import tracemalloc
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.bench.hotloop import key_stream
+from repro.check import ValidatingMM
+from repro.mmu import DecoupledMM
 from repro.mmu.array_engine import StreamKernel, supports, try_run
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm, mm_factory
 from repro.obs import SamplingProbe, TraceRecorder
@@ -33,6 +36,8 @@ from repro.workloads import ZipfWorkload
 
 #: algorithms with a batch handler (everything but THP).
 ARRAY_MMS = tuple(n for n in MM_NAMES if n != "thp")
+#: configurations beyond the registry's, built as (tlb, ram, seed=) -> mm.
+VARIANTS = {"decoupled-one-choice": partial(DecoupledMM, scheme="one-choice")}
 
 TLB_ENTRIES = 64
 RAM_PAGES = 1024
@@ -174,18 +179,26 @@ class TestKernelMemory:
 # ------------------------------------------------------- engine parity
 
 
-@pytest.mark.parametrize("name", ARRAY_MMS)
+def _make(name, engine="array"):
+    if name not in VARIANTS:
+        return make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine=engine)
+    mm = VARIANTS[name](TLB_ENTRIES, RAM_PAGES, seed=0)
+    mm.engine = engine
+    return mm
+
+
+@pytest.mark.parametrize("name", ARRAY_MMS + tuple(VARIANTS))
 class TestDeepStateParity:
     def test_cold_run(self, name):
-        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="object")
-        arr = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
+        obj = _make(name, engine="object")
+        arr = _make(name)
         obj.run(TRACE)
         assert try_run(arr, TRACE) is not None, "array engine declined"
         assert _state_sig(obj) == _state_sig(arr)
 
     def test_segmented_and_warm_reset(self, name):
-        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="object")
-        arr = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="array")
+        obj = _make(name, engine="object")
+        arr = _make(name, engine="array")
         cuts = (0, 3_337, 3_338, 9_101, 12_000)
         for a, b in zip(cuts[:-1], cuts[1:]):
             obj.run(TRACE[a:b])
@@ -198,7 +211,25 @@ class TestDeepStateParity:
         assert _state_sig(obj) == _state_sig(arr)
 
     def test_supports(self, name):
-        assert supports(make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0))
+        assert supports(_make(name))
+
+
+@pytest.mark.parametrize("name", ["decoupled", "hybrid"])
+def test_validated_quanta_match_both_engines(name):
+    """The oracle's per-access replay (``ValidatingMM._replay``) on
+    64-access segments leaves the same deep state and ledger as one
+    object-engine call and one batched array-engine call."""
+    validated = ValidatingMM(_make(name, engine="object"))
+    for a in range(0, TRACE.size, 64):
+        validated.run(TRACE[a : a + 64])
+    obj = _make(name, engine="object")
+    obj.run(TRACE)
+    arr = _make(name)
+    assert try_run(arr, TRACE) is not None, "array engine declined"
+    sig = _state_sig(validated.inner)
+    assert sig == _state_sig(obj)
+    assert sig == _state_sig(arr)
+    assert validated.oracle.accesses_checked == TRACE.size
 
 
 class TestWritebackDirtyCarry:
